@@ -7,11 +7,10 @@ in-process streams (or real TCP on loopback), clients drive them with
 seeded workloads, and an operation-log replay through the synchronous
 oracle proves the live system lands in the identical final state.
 
-Frames carry either the JSON-v1 body (the compat codec) or the compact
-binary-v2 body (the fast path), negotiated per connection via the
-version byte in the frame header; within v2 the header's flags byte
-additionally selects struct-packed fixed layouts for GET/ACK traffic
-(the zero-copy fast lane — see :mod:`repro.runtime.wire`).  Routing
+Every frame carries one binary codec; the header's flags byte selects
+struct-packed fixed layouts for GET/ACK/GET_REPLY/OVERLOAD traffic and
+the generic tagged body for everything else (the zero-copy fast lane —
+see :mod:`repro.runtime.wire`).  Routing
 decisions on the hot path are served from the LRU routing-table cache
 keyed on status-word content.
 """
@@ -60,9 +59,7 @@ from .wire import (
     FRAME_GET_REPLY,
     FRAME_OVERLOAD,
     MAX_FRAME,
-    MAX_WIRE_VERSION,
     WIRE_VERSION,
-    WIRE_VERSION_BINARY,
     FrameEncoder,
     FrameError,
     FrameReader,
@@ -70,11 +67,6 @@ from .wire import (
     WireError,
     decode_message,
     encode_message,
-    message_from_dict,
-    message_to_dict,
-    read_frame,
-    read_message,
-    write_message,
 )
 
 __all__ = [
@@ -88,12 +80,10 @@ __all__ = [
     "FRAME_GET_REPLY",
     "FRAME_OVERLOAD",
     "MAX_FRAME",
-    "MAX_WIRE_VERSION",
     "QUEUE_POLICIES",
     "SHED_POLICIES",
     "VICTIM_POLICIES",
     "WIRE_VERSION",
-    "WIRE_VERSION_BINARY",
     "AdmissionController",
     "ChurnEvent",
     "ChurnInjector",
@@ -127,16 +117,11 @@ __all__ = [
     "diff_states",
     "encode_message",
     "generate_ops",
-    "message_from_dict",
-    "message_to_dict",
     "percentile",
     "policy_grid",
-    "read_frame",
-    "read_message",
     "replay_oplog",
     "run_conformance",
     "snapshot_of",
     "start_listener",
     "verify_snapshot",
-    "write_message",
 ]

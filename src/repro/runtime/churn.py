@@ -24,8 +24,12 @@ schedule placed *inside* the burst window:
 
 Victims are picked at *fire time* from the then-live membership with a
 seeded RNG, so schedules compose deterministically with the workload
-seed while never naming an already-dead node.  ``min_live`` bounds the
-carnage; events that would breach it are skipped and reported.
+seed while never naming an already-dead node.  A PID named by an
+announced op that is queued or running is *reserved*: later picks skip
+it, so a ``kill`` can never take the node a queued ``leave`` is about
+to remove.  The worker still re-checks membership before applying and
+records a skip if the node changed state under it.  ``min_live`` bounds
+the carnage; events that would breach it are skipped and reported.
 """
 
 from __future__ import annotations
@@ -94,6 +98,8 @@ class ChurnInjector:
         self._runner: asyncio.Task[None] | None = None
         self._worker: asyncio.Task[None] | None = None
         self._queue: asyncio.Queue[tuple[str, int] | None] = asyncio.Queue()
+        self._reserved: set[int] = set()
+        """PIDs named by announced ops that are queued or running."""
 
     @classmethod
     def scheduled(
@@ -190,6 +196,7 @@ class ChurnInjector:
             else:
                 # Announced §5 ops drain internally — serialize them on
                 # the worker so two recoveries never interleave.
+                self._reserved.add(pid)
                 await self._queue.put((event.action, pid))
 
     async def _work(self) -> None:
@@ -198,25 +205,37 @@ class ChurnInjector:
             if item is None:
                 return
             action, pid = item
-            if action == "crash":
-                await self.cluster.crash(pid)
-            elif action == "join":
-                await self.cluster.join(pid)
-            else:
-                await self.cluster.leave(pid)
-            self.applied.append({"at": None, "action": action, "pid": pid})
+            try:
+                if (pid in self.cluster.nodes) == (action == "join"):
+                    # The node changed state since the pick (another
+                    # actor took it down or brought it back): skip.
+                    self.applied.append(
+                        {"at": None, "action": action, "pid": None}
+                    )
+                    continue
+                if action == "crash":
+                    await self.cluster.crash(pid)
+                elif action == "join":
+                    await self.cluster.join(pid)
+                else:
+                    await self.cluster.leave(pid)
+                self.applied.append({"at": None, "action": action, "pid": pid})
+            finally:
+                self._reserved.discard(pid)
 
     def _pick(self, event: ChurnEvent) -> int | None:
-        """Resolve the event's victim against the *current* membership."""
+        """Resolve the event's victim against the *current* membership,
+        skipping PIDs reserved by queued or running announced ops."""
         live = sorted(self.cluster.nodes)
         if event.action == "join":
             total = 1 << self.cluster.config.m
-            dead = sorted(set(range(total)) - set(live))
+            dead = sorted(set(range(total)) - set(live) - self._reserved)
             if event.pid is not None:
                 return event.pid if event.pid in dead else None
             return self._rng.choice(dead) if dead else None
         if len(live) <= self.min_live:
             return None
+        free = [pid for pid in live if pid not in self._reserved]
         if event.pid is not None:
-            return event.pid if event.pid in live else None
-        return self._rng.choice(live)
+            return event.pid if event.pid in free else None
+        return self._rng.choice(free) if free else None

@@ -95,15 +95,13 @@ class RuntimeClient:
     def __init__(self, cluster, pid: int) -> None:
         self.cluster = cluster
         self.pid = pid
-        self.wire_version = cluster.wire_version_of(pid)
-        self._encoder = FrameEncoder(fixed=cluster.config.fixed_frames)
+        self._encoder = FrameEncoder()
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._futures: dict[int, asyncio.Future] = {}
         self._deadlines: dict[int, float] = {}
         self._sweep_timer: asyncio.TimerHandle | None = None
         self._task: asyncio.Task | None = None
-        self._tick_coalesce = cluster.config.tick_coalesce
         self._flush_scheduled = False
         self._closed = False
         self._conn_lost = False
@@ -117,13 +115,11 @@ class RuntimeClient:
 
     async def _read_loop(self) -> None:
         assert self._reader is not None
-        frames = FrameReader(
-            self._reader, self.cluster.config.max_frame, self.wire_version
-        )
+        frames = FrameReader(self._reader, self.cluster.config.max_frame)
         try:
             while not self._closed:
                 msgs, _errors = await frames.read_batch()
-                for msg, _version in msgs:
+                for msg in msgs:
                     self._deadlines.pop(msg.request_id, None)
                     future = self._futures.pop(msg.request_id, None)
                     if future is not None and not future.done():
@@ -214,16 +210,13 @@ class RuntimeClient:
         future: asyncio.Future = loop.create_future()
         self._futures[msg.request_id] = future
         self.cluster.count_client_send(self.pid)
-        self._encoder.add(msg, self.wire_version)
-        if self._tick_coalesce:
-            # Requests issued in the same event-loop iteration (e.g. a
-            # burst of load-generator fires waking from one sleep) ride
-            # a single vectored write, scheduled once per tick.
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                loop.call_soon(self._flush_soon)
-        else:
-            self._encoder.flush_to(self._writer)
+        self._encoder.add(msg)
+        # Requests issued in the same event-loop iteration (e.g. a
+        # burst of load-generator fires waking from one sleep) ride a
+        # single vectored write, scheduled once per tick.
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            loop.call_soon(self._flush_soon)
         # Per-request deadlines go through the shared sweep timer: one
         # heap entry per client per sweep period instead of a
         # call_later handle (and its heap churn) per request.

@@ -42,13 +42,7 @@ from ..node.storage import FileOrigin
 from .addressing import PeerUnreachableError, dial_node, start_listener
 from .node import CLIENT, NodeServer, subtree_children
 from .overload import OverloadPolicy
-from .wire import (
-    MAX_FRAME,
-    MAX_WIRE_VERSION,
-    WIRE_VERSION,
-    FrameEncoder,
-    WireError,
-)
+from .wire import MAX_FRAME, FrameEncoder, WireError
 
 __all__ = [
     "ADMIN",
@@ -84,31 +78,10 @@ class RuntimeConfig:
     actually queue so the load monitor has something to measure."""
     max_frame: int = MAX_FRAME
     drain_timeout: float = 30.0
-    wire_version: int = MAX_WIRE_VERSION
-    """Codec ceiling for every node and client: 2 = binary fast path
-    (the default), 1 = the JSON-v1 compat profile.  Per-connection
-    negotiation picks ``min(sender, receiver)``."""
-    v1_pids: tuple[int, ...] = ()
-    """PIDs pinned to the JSON-v1 codec (mixed-version cluster tests)."""
-    fixed_frames: bool = True
-    """Emit struct-packed fixed-layout bodies (GET/ACK/GET_REPLY) on v2
-    connections; ``False`` pins every v2 frame to the generic tagged
-    body (the pre-fast-lane interop profile)."""
     batch_max: int = 16
-    """Messages a node's inbox consumer drains per scheduling tick."""
-    coalesce_bytes: int = 0
-    """Frame-coalescing watermark for peer streams, in bytes; ``0``
-    disables coalescing (every frame written immediately)."""
-    coalesce_delay: float = 0.001
-    """Latency budget (seconds) before a partial coalescing buffer is
-    flushed regardless of size."""
-    tick_coalesce: bool = True
-    """Defer frame flushes to the end of the current event-loop
-    iteration (one ``call_soon`` per stream per tick): every frame
-    produced in the same tick leaves in a single vectored write — one
-    syscall instead of one per frame — at zero added latency, because
-    the callback runs before the loop goes back to sleep.  ``False``
-    restores the write-per-frame profile."""
+    """Messages a node's inbox consumer drains per scheduling tick
+    (``1`` serializes the consumer: each GET is served before the next
+    message is dequeued)."""
     idle_timeout: float = float("inf")
     """Counter-based removal: a REPLICATED copy whose access counter
     sits still this long is REMOVEd (``inf`` disables decay)."""
@@ -140,18 +113,8 @@ class RuntimeConfig:
             raise ConfigurationError("service_time must be non-negative")
         if self.inflight_limit < 1:
             raise ConfigurationError("inflight_limit must be at least 1")
-        if not WIRE_VERSION <= self.wire_version <= MAX_WIRE_VERSION:
-            raise ConfigurationError(
-                f"wire_version must be in [{WIRE_VERSION}, {MAX_WIRE_VERSION}]"
-            )
-        for pid in self.v1_pids:
-            check_id(pid, self.m)
         if self.batch_max < 1:
             raise ConfigurationError("batch_max must be at least 1")
-        if self.coalesce_bytes < 0:
-            raise ConfigurationError("coalesce_bytes must be non-negative")
-        if self.coalesce_delay <= 0:
-            raise ConfigurationError("coalesce_delay must be positive")
         if self.idle_timeout <= 0:
             raise ConfigurationError("idle_timeout must be positive")
         if self.inbox_limit < 0:
@@ -207,91 +170,54 @@ _SINK_HIGH_WATER = 1 << 16
 
 
 class _FrameSink:
-    """One peer stream, coalescing frames per tick or Nagle-style.
+    """One peer stream whose frames leave once per event-loop tick.
 
     Frames are encoded straight into the sink's reusable
     :class:`~repro.runtime.wire.FrameEncoder` buffer — no per-frame
-    ``bytes`` object exists — and leave through one vectored
-    ``writelines`` per flush.  Three flush policies:
-
-    * ``tick=True`` (the fast lane): the first frame of an event-loop
-      iteration schedules one ``call_soon`` flush; every frame the
-      sender produces before the loop goes back to sleep rides the
-      same syscall, at zero added latency.
-    * ``max_bytes > 0``: Nagle-style — flush at the byte watermark or
-      after ``delay`` seconds, whichever first.
-    * otherwise: flush on every ``add``.
+    ``bytes`` object exists.  The first frame of an event-loop
+    iteration schedules one ``call_soon`` flush, so every frame the
+    sender produces before the loop goes back to sleep leaves in a
+    single vectored ``writelines`` — one syscall instead of one per
+    frame, at zero added latency.  A buffer that reaches the high-water
+    mark is flushed at once.
 
     In-flight accounting happens at :meth:`LiveCluster.send` time
     (before buffering), so a buffered frame still holds the cluster
     un-quiet until it lands.
     """
 
-    __slots__ = ("writer", "encoder", "max_bytes", "delay", "tick",
-                 "_timer", "_scheduled")
+    __slots__ = ("writer", "encoder", "_scheduled")
 
-    def __init__(
-        self,
-        writer: asyncio.StreamWriter,
-        max_bytes: int,
-        delay: float,
-        fixed: bool = True,
-        tick: bool = False,
-    ) -> None:
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.encoder = FrameEncoder(fixed=fixed)
-        self.max_bytes = max_bytes
-        self.delay = delay
-        self.tick = tick
-        self._timer: asyncio.TimerHandle | None = None
+        self.encoder = FrameEncoder()
         self._scheduled = False
 
-    def add(self, msg: Message, version: int) -> None:
+    def add(self, msg: Message) -> None:
         """Encode one frame into the sink buffer (no flush).
 
         Raises :class:`WireError` on an unencodable message (the
         buffer is rolled back, the sink stays usable) and
         ``ConnectionError`` on a stream the peer already closed.
-        Callers follow up with :meth:`poke` — encoding and the flush
-        policy are split so the bench's ``encode`` stage never absorbs
-        a write syscall.
+        Callers follow up with :meth:`poke` — encoding and flushing
+        are split so the bench's ``encode`` stage never absorbs a
+        write syscall.
         """
         if self.writer.is_closing():
             raise ConnectionError("peer stream is closing")
-        self.encoder.add(msg, version)
+        self.encoder.add(msg)
 
     def poke(self) -> None:
-        """Apply the flush policy to whatever :meth:`add` buffered.
-
-        Propagates ``ConnectionError``/``OSError`` from an immediate
-        flush.
-        """
-        if self.tick:
-            if self.encoder.pending_bytes >= _SINK_HIGH_WATER:
-                self.flush()
-            elif not self._scheduled:
-                self._scheduled = True
-                asyncio.get_running_loop().call_soon(self._flush_soon)
-        elif self.max_bytes <= 0 or self.encoder.pending_bytes >= self.max_bytes:
-            self.flush()
-        elif self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(
-                self.delay, self._flush_timer
-            )
-
-    def flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if self.encoder.pending:
+        """Schedule the tick flush, or flush now past the high-water
+        mark (propagating ``ConnectionError``/``OSError``)."""
+        if self.encoder.pending_bytes >= _SINK_HIGH_WATER:
             self.encoder.flush_to(self.writer)
+        elif not self._scheduled:
+            self._scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush_soon)
 
     def _flush_soon(self) -> None:
         self._scheduled = False
-        self._flush_timer()
-
-    def _flush_timer(self) -> None:
-        self._timer = None
         if not self.encoder.pending:
             return
         try:
@@ -308,9 +234,6 @@ class _FrameSink:
             await self.writer.drain()
 
     def close(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         self.encoder.reset()
         try:
             self.writer.close()
@@ -412,18 +335,6 @@ class LiveCluster:
         address = self.addresses.get(pid) if self.config.tcp else None
         return await dial_node(address, attach=node.attach)
 
-    def wire_version_of(self, pid: int) -> int:
-        """Codec ceiling of one endpoint (clients use the config's)."""
-        if pid in self.config.v1_pids:
-            return WIRE_VERSION
-        return self.config.wire_version
-
-    def wire_version_for(self, src: int, dst: int) -> int:
-        """Negotiated codec for a ``src -> dst`` stream: the min of the
-        two ceilings, so a v1 node never receives a binary frame."""
-        sender = self.wire_version_of(src) if src >= 0 else self.config.wire_version
-        return min(sender, self.wire_version_of(dst))
-
     async def send(self, src: int, msg: Message) -> None:
         """Deliver one frame from ``src`` (a PID or ``ADMIN``) to ``msg.dst``.
 
@@ -440,18 +351,13 @@ class LiveCluster:
         sink = self._peer_conns.get((src, dst))
         if sink is None:
             _reader, writer = await self.open_connection(dst)
-            sink = _FrameSink(
-                writer, self.config.coalesce_bytes, self.config.coalesce_delay,
-                fixed=self.config.fixed_frames,
-                tick=self.config.tick_coalesce,
-            )
+            sink = _FrameSink(writer)
             self._peer_conns[(src, dst)] = sink
-        version = self.wire_version_for(src, dst)
         self._inflight_to[dst] = self._inflight_to.get(dst, 0) + 1
         try:
             t0 = perf_counter()
             try:
-                sink.add(msg, version)
+                sink.add(msg)
             finally:
                 self.stage_seconds["encode"] += perf_counter() - t0
             sink.poke()

@@ -80,7 +80,7 @@ from ..net.message import Message, MessageKind, fast_message
 from ..node.loadmon import LoadMonitor
 from ..node.storage import FileOrigin, FileStore
 from .overload import AdmissionController, LatencyTracker
-from .wire import WIRE_VERSION, FrameEncoder, FrameError, FrameReader
+from .wire import FrameEncoder, FrameError, FrameReader
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import LiveCluster
@@ -132,9 +132,6 @@ class _Connection:
     flush_scheduled: bool = False
     """A tick-coalesced flush callback is pending for this connection."""
     closed: bool = False
-    wire_version: int = WIRE_VERSION
-    """Highest codec seen from the peer on this connection; replies
-    never exceed it (per-connection negotiation)."""
 
     async def close(self) -> None:
         if self.closed:
@@ -173,7 +170,6 @@ class NodeServer:
         self.m = config.m
         self.b = config.b
         self.word = cluster.word.copy()
-        self.wire_version = cluster.wire_version_of(pid)
         self.store = FileStore()
         self.monitor = LoadMonitor(capacity=1.0, window=config.window)
         self.inbox: asyncio.Queue[tuple[Message, _Connection | None]] = asyncio.Queue()
@@ -210,7 +206,6 @@ class NodeServer:
         self._serve_waiter: asyncio.Future | None = None
         self._serving = False
         self._pipelined = config.batch_max > 1
-        self._tick_coalesce = config.tick_coalesce
         self._running = True
 
     def start(self) -> None:
@@ -227,9 +222,7 @@ class NodeServer:
 
     def attach(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         """Adopt an accepted stream: spawn its frame-reader task."""
-        conn = _Connection(
-            reader, writer, FrameEncoder(fixed=self.cluster.config.fixed_frames)
-        )
+        conn = _Connection(reader, writer, FrameEncoder())
         self._conns.add(conn)
         task = asyncio.get_running_loop().create_task(
             self._read_loop(conn), name=f"read:{self.pid}"
@@ -245,9 +238,7 @@ class NodeServer:
         Well-framed bodies that fail to decode are counted and skipped
         (framing stays aligned); framing damage ends the connection.
         """
-        frames = FrameReader(
-            conn.reader, self.cluster.config.max_frame, self.wire_version
-        )
+        frames = FrameReader(conn.reader, self.cluster.config.max_frame)
         stage = self.cluster.stage_seconds
         inbox_put = self.inbox.put_nowait
         enqueued = self.cluster.msg_enqueued
@@ -263,14 +254,12 @@ class NodeServer:
                         self.cluster.note_decode_error(self.pid)
                 admission = self.admission
                 if admission is None and not self._track_latency:
-                    for msg, version in msgs:
-                        conn.wire_version = version
+                    for msg in msgs:
                         inbox_put((msg, conn))
                         enqueued(self.pid, msg.src)
                 else:
                     now = asyncio.get_running_loop().time()
-                    for msg, version in msgs:
-                        conn.wire_version = version
+                    for msg in msgs:
                         if self._track_latency and msg.kind is MessageKind.GET:
                             self._arrivals[msg.request_id] = now
                         if admission is not None:
@@ -300,41 +289,38 @@ class NodeServer:
         self.inbox.put_nowait((msg, None))
 
     async def _write_client(self, conn: _Connection, msg: Message) -> None:
-        """Best-effort reply to a client connection, at its codec.
+        """Best-effort reply to a client connection.
 
         The frame lands in the connection's reusable encoder buffer.
         Mid-batch (the inbox consumer holds ``_batch_conns``) the flush
         is deferred so every reply of the batch leaves in one vectored
-        ``writelines``.  Outside a batch, tick coalescing schedules one
-        ``call_soon`` flush per connection per event-loop iteration —
-        replies from serve tasks whose timers expired in the same tick
-        share a single syscall; with coalescing off the frame is
-        flushed immediately.
+        ``writelines``.  Outside a batch, one ``call_soon`` flush is
+        scheduled per connection per event-loop iteration — replies
+        from serve tasks whose timers expired in the same tick share a
+        single syscall; a backlogged transport is flushed and drained
+        at once instead.
         """
         if conn.closed:
             return
         try:
             t0 = perf_counter()
-            conn.encoder.add(msg, conn.wire_version)
+            conn.encoder.add(msg)
             self.cluster.stage_seconds["encode"] += perf_counter() - t0
             if self._batch_conns is not None:
                 self._batch_conns.add(conn)
                 return
             transport = conn.writer.transport
-            backlogged = (
+            if (
                 transport is not None
                 and transport.get_write_buffer_size() > _WRITE_HIGH_WATER
-            )
-            if self._tick_coalesce and not backlogged:
-                if not conn.flush_scheduled and conn.encoder.pending:
-                    conn.flush_scheduled = True
-                    asyncio.get_running_loop().call_soon(
-                        self._flush_conn_soon, conn
-                    )
-                return
-            conn.encoder.flush_to(conn.writer)
-            if backlogged:
+            ):
+                conn.encoder.flush_to(conn.writer)
                 await conn.writer.drain()
+            elif not conn.flush_scheduled:
+                conn.flush_scheduled = True
+                asyncio.get_running_loop().call_soon(
+                    self._flush_conn_soon, conn
+                )
         except (ConnectionError, OSError):
             await conn.close()
 

@@ -1,9 +1,8 @@
 """The scale-out control channel: CONTROL frames over the wire protocol.
 
 Bootstrap, workers, and client endpoints coordinate over the same
-length-prefixed framing the data plane uses — a ``CONTROL`` message
-whose payload is a small dict — pinned to the JSON-v1 codec, whose
-generic body carries arbitrary (JSON-safe) dict payloads.  One
+frames the data plane uses: a ``CONTROL`` message whose payload is a
+small dict, carried in the generic tagged body.  One
 :class:`ControlLink` wraps one stream and is fully symmetric: either
 side can issue ``call`` (request/response, matched by ``rid``/``re``)
 or ``cast`` (fire and forget), and both sides answer the peer through
@@ -32,9 +31,15 @@ the peer's read loop expands back into individual bodies in order,
 so batching is invisible to FIFO semantics.
 
 Payload constraint: everything that rides the control channel must be
-JSON-safe (the v1 profile).  Admin frames delivered through ``deliver``
-casts inherit this — scale-out file payloads are strings/numbers/
-lists/dicts, as every workload in this repo already is.
+encodable by the generic body — JSON's values plus ``bytes``, string
+dict keys, finite floats (so infinite config fields ship as a
+sentinel).  An admin frame delivered through a ``deliver`` cast rides
+as its own encoded frame bytes and is rebuilt by the same hardened
+decoder the data plane uses.
+
+Read discipline: a control body that fails to decode is a protocol
+violation by the peer, so it ends the link (the frames of that read
+batch are dropped with it), exactly like broken framing does.
 """
 
 from __future__ import annotations
@@ -47,13 +52,12 @@ from typing import Any, Awaitable, Callable
 from ...net.message import Message, MessageKind, fast_message
 from ..cluster import ADMIN, RuntimeConfig
 from ..wire import (
-    WIRE_VERSION,
     FrameEncoder,
     FrameError,
-    WireError,
-    message_from_dict,
-    message_to_dict,
-    read_frame,
+    FrameReader,
+    WireDecodeError,
+    decode_message,
+    encode_message,
 )
 
 __all__ = [
@@ -70,7 +74,8 @@ __all__ = [
 Handler = Callable[[str, dict], Awaitable[dict | None]]
 
 _INF = "inf"
-"""JSON has no Infinity; ``float('inf')`` config fields ship as this."""
+"""The wire rejects non-finite floats; ``float('inf')`` config fields
+ship as this."""
 
 BATCH_OP = "batch"
 """Reserved op name for a coalesced control frame.  No coordination op
@@ -80,9 +85,9 @@ may use it — the read loop unconditionally expands it."""
 def encode_batch(bodies: list[dict]) -> dict[str, Any]:
     """Wrap several control bodies into one batch frame.
 
-    The wrapper is itself a plain JSON-safe control body, so it rides
-    the existing CONTROL/JSON-v1 framing unchanged; order inside
-    ``ops`` is wire order.
+    The wrapper is itself a plain control body, so it rides the
+    existing CONTROL framing unchanged; order inside ``ops`` is wire
+    order.
     """
     return {"op": BATCH_OP, "ops": list(bodies)}
 
@@ -103,20 +108,18 @@ def decode_batch(body: dict) -> list[dict]:
 
 
 def config_to_wire(config: RuntimeConfig) -> dict[str, Any]:
-    """A JSON-safe dict a worker can rebuild its RuntimeConfig from."""
+    """A wire-safe dict a worker can rebuild its RuntimeConfig from."""
     out: dict[str, Any] = {}
     for f in dataclass_fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and value == float("inf"):
             value = _INF
-        elif isinstance(value, tuple):
-            value = list(value)
         out[f.name] = value
     return out
 
 
 def config_from_wire(data: dict[str, Any]) -> RuntimeConfig:
-    """Inverse of :func:`config_to_wire`."""
+    """Inverse of :func:`config_to_wire` (unknown keys are ignored)."""
     kwargs: dict[str, Any] = {}
     for f in dataclass_fields(RuntimeConfig):
         if f.name not in data:
@@ -124,20 +127,22 @@ def config_from_wire(data: dict[str, Any]) -> RuntimeConfig:
         value = data[f.name]
         if value == _INF:
             value = float("inf")
-        elif f.name == "v1_pids":
-            value = tuple(value)
         kwargs[f.name] = value
     return RuntimeConfig(**kwargs)
 
 
-def message_to_wire(msg: Message) -> dict[str, Any]:
-    """Serialize an admin frame for a ``deliver`` cast."""
-    return message_to_dict(msg)
+def message_to_wire(msg: Message) -> bytes:
+    """Serialize an admin frame for a ``deliver`` cast: its frame bytes."""
+    return encode_message(msg)
 
 
-def message_from_wire(data: dict[str, Any]) -> Message:
-    """Rebuild a delivered admin frame."""
-    return message_from_dict(data)
+def message_from_wire(data: Any) -> Message:
+    """Rebuild a delivered admin frame from its frame bytes."""
+    if not isinstance(data, bytes):
+        raise WireDecodeError(
+            f"delivered frame must be bytes, got {type(data).__name__}"
+        )
+    return decode_message(data)
 
 
 class ControlLink:
@@ -158,7 +163,7 @@ class ControlLink:
         self._rid = itertools.count(1)
         self._waiters: dict[int, asyncio.Future] = {}
         self._inbox: asyncio.Queue[dict] = asyncio.Queue()
-        self._encoder = FrameEncoder(fixed=False)
+        self._encoder = FrameEncoder()
         self._tasks: list[asyncio.Task] = []
         self._pending: list[dict] = []
         self._flush_scheduled = False
@@ -174,19 +179,23 @@ class ControlLink:
         )
 
     async def _read_loop(self) -> None:
+        frames = FrameReader(self.reader)
         try:
             while True:
-                msg, _version = await read_frame(self.reader)
-                frame = msg.payload if isinstance(msg.payload, dict) else {}
-                for body in decode_batch(frame):
-                    re = body.get("re")
-                    if re is not None:
-                        waiter = self._waiters.pop(re, None)
-                        if waiter is not None and not waiter.done():
-                            waiter.set_result(body)
-                        continue
-                    self._inbox.put_nowait(body)
-        except (EOFError, FrameError, WireError, ConnectionError, OSError):
+                msgs, errors = await frames.read_batch()
+                if errors:
+                    return
+                for msg in msgs:
+                    frame = msg.payload if isinstance(msg.payload, dict) else {}
+                    for body in decode_batch(frame):
+                        re = body.get("re")
+                        if re is not None:
+                            waiter = self._waiters.pop(re, None)
+                            if waiter is not None and not waiter.done():
+                                waiter.set_result(body)
+                            continue
+                        self._inbox.put_nowait(body)
+        except (EOFError, FrameError, ConnectionError, OSError):
             pass
         finally:
             self._fail_waiters()
@@ -253,7 +262,7 @@ class ControlLink:
             raise ConnectionError("control peer is closing")
         body = pending[0] if len(pending) == 1 else encode_batch(pending)
         msg = fast_message(MessageKind.CONTROL, ADMIN, ADMIN, "", body)
-        self._encoder.add(msg, WIRE_VERSION)
+        self._encoder.add(msg)
         self._encoder.flush_to(self.writer)
 
     async def call(self, op: str, **fields: Any) -> dict:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 
-from ...core.errors import ConfigurationError
 from ..addressing import Address, dial_peer
 from .control import ControlLink, config_from_wire
 
@@ -74,15 +73,6 @@ class ScaleoutEndpoint:
         self.word.epoch = max(self.word.epoch + 1, epoch)
 
     # -- the client-facing slice of LiveCluster ------------------------------
-
-    def wire_version_of(self, pid: int) -> int:
-        if self.config is None:
-            raise ConfigurationError("endpoint is not connected")
-        if pid in self.config.v1_pids:
-            from ..wire import WIRE_VERSION
-
-            return WIRE_VERSION
-        return self.config.wire_version
 
     async def open_connection(
         self, pid: int

@@ -21,9 +21,12 @@ Lifecycle discipline:
   the process is provably gone before the coordination plane flips the
   membership bit, so nothing the victim might still have written races
   the kill record.
-* **shutdown()** SIGTERMs the remaining children, collects their
-  ``goodbye`` snapshots (each worker drains its inbox first), reaps
-  everyone, and closes the bootstrap.
+* **shutdown()** SIGTERMs every spawned child (registered or not),
+  collects the ``goodbye`` snapshots (each worker drains its inbox
+  first), SIGKILLs whatever still runs at the deadline, reaps
+  everyone, and closes the bootstrap.  Reaping polls with ``WNOHANG``
+  between ``asyncio.sleep`` calls: the bootstrap shares this loop, and
+  a worker blocked on its ``goodbye`` reply must still get it.
 """
 
 from __future__ import annotations
@@ -141,25 +144,39 @@ class ScaleoutSupervisor:
 
     def alive(self) -> dict[int, bool]:
         """Liveness of every spawned OS process (``wait``-free poll)."""
-        out: dict[int, bool] = {}
-        for ospid in self._children:
-            out[ospid] = self._poll_fork(ospid)
-        for proc in self._procs:
-            out[proc.pid] = proc.poll() is None
-        return out
+        return {ospid: self._poll(ospid) for ospid in self._spawned()}
 
-    def _poll_fork(self, ospid: int) -> bool:
+    def _spawned(self) -> list[int]:
+        return list(self._children) + [proc.pid for proc in self._procs]
+
+    def _poll(self, ospid: int) -> bool:
+        """Whether ``ospid`` still runs; reaps it if it has exited."""
         if ospid in self._reaped:
             return False
+        for proc in self._procs:
+            if proc.pid == ospid:
+                if proc.poll() is None:
+                    return True
+                self._reaped.add(ospid)
+                return False
         try:
             done, _status = os.waitpid(ospid, os.WNOHANG)
         except ChildProcessError:  # pragma: no cover - reaped elsewhere
-            self._reaped.add(ospid)
-            return False
+            done = ospid
         if done:
             self._reaped.add(ospid)
             return False
         return True
+
+    async def _await_exit(self, ospids: list[int], deadline: float) -> list[int]:
+        """Poll until every process in ``ospids`` has exited or the loop
+        clock passes ``deadline``; returns those still running."""
+        loop = asyncio.get_running_loop()
+        while True:
+            running = [ospid for ospid in ospids if self._poll(ospid)]
+            if not running or loop.time() >= deadline:
+                return running
+            await asyncio.sleep(0.01)
 
     async def kill(self, pid: int) -> None:
         """``kill -9`` the worker serving node ``pid`` — no drain, no
@@ -169,48 +186,39 @@ class ScaleoutSupervisor:
         if ospid <= 0:
             raise MembershipError(f"no OS process known for P({pid})")
         os.kill(ospid, signal.SIGKILL)
-        self._reap(ospid)
+        await self._await_exit([ospid], float("inf"))
         await self.bootstrap.note_killed(pid)
-
-    def _reap(self, ospid: int) -> None:
-        if ospid in self._reaped:
-            return
-        if self.mode == "subprocess":
-            for proc in self._procs:
-                if proc.pid == ospid:
-                    proc.wait()
-                    self._reaped.add(ospid)
-                    return
-        try:
-            os.waitpid(ospid, 0)
-        except ChildProcessError:  # pragma: no cover - already reaped
-            pass
-        self._reaped.add(ospid)
 
     # -- teardown ------------------------------------------------------------
 
+    def _signal(self, ospid: int, sig: int) -> None:
+        if ospid in self._reaped:
+            return
+        try:
+            os.kill(ospid, sig)
+        except ProcessLookupError:  # pragma: no cover - already gone
+            pass
+
     async def shutdown(self, term_timeout: float = 30.0) -> None:
-        """SIGTERM the fleet, await the goodbyes, reap, close."""
-        survivors = [
-            pid for pid in sorted(self.bootstrap.worker_pids())
-        ]
-        for pid in survivors:
-            ospid = self.bootstrap.ospid_of(pid)
-            if ospid > 0 and ospid not in self._reaped:
-                try:
-                    os.kill(ospid, signal.SIGTERM)
-                except ProcessLookupError:  # pragma: no cover
-                    pass
+        """SIGTERM the fleet, await the goodbyes, reap, close.
+
+        Children still running ``term_timeout`` seconds after the
+        SIGTERM are SIGKILLed, so shutdown always returns.
+        """
+        survivors = len(self.bootstrap.worker_pids())
+        spawned = self._spawned()
+        for ospid in spawned:
+            self._signal(ospid, signal.SIGTERM)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + term_timeout
         while (
-            len(self.bootstrap.goodbyes) < len(survivors)
+            len(self.bootstrap.goodbyes) < survivors
             and loop.time() < deadline
         ):
             await asyncio.sleep(0.01)
-        for ospid in list(self._children) + [p.pid for p in self._procs]:
-            if ospid not in self._reaped:
-                self._reap(ospid)
+        for ospid in await self._await_exit(spawned, deadline):
+            self._signal(ospid, signal.SIGKILL)
+        await self._await_exit(spawned, float("inf"))
         await self.bootstrap.shutdown()
         if self._listen_sock is not None:
             self._listen_sock.close()

@@ -43,7 +43,7 @@ from ...node.membership import StatusWord
 from ..addressing import Address, PeerUnreachableError, dial_peer, start_listener
 from ..cluster import ADMIN, RuntimeConfig, _FrameSink
 from ..node import CLIENT, NodeServer
-from ..wire import WIRE_VERSION, WireError
+from ..wire import WireError
 from ...core.hashing import Psi
 from ...core.tree import LookupTree
 from .control import ControlLink, config_from_wire, message_from_wire
@@ -149,15 +149,6 @@ class WorkerRuntime:
     def note_handler_error(self, pid: int) -> None:
         self.count("handler_errors")
 
-    def wire_version_of(self, pid: int) -> int:
-        if pid in self.config.v1_pids:
-            return WIRE_VERSION
-        return self.config.wire_version
-
-    def wire_version_for(self, src: int, dst: int) -> int:
-        sender = self.wire_version_of(src) if src >= 0 else self.config.wire_version
-        return min(sender, self.wire_version_of(dst))
-
     def holders(self, name: str) -> set[int]:
         """Own store ∪ the holder-hint cache.
 
@@ -220,15 +211,10 @@ class WorkerRuntime:
         sink = self._sinks.get(dst)
         if sink is None:
             _reader, writer = await dial_peer(self.book.get(dst), dst)
-            sink = _FrameSink(
-                writer, self.config.coalesce_bytes, self.config.coalesce_delay,
-                fixed=self.config.fixed_frames,
-                tick=self.config.tick_coalesce,
-            )
+            sink = _FrameSink(writer)
             self._sinks[dst] = sink
-        version = self.wire_version_for(src, dst)
         try:
-            sink.add(msg, version)
+            sink.add(msg)
             sink.poke()
             await sink.drain_if_needed()
         except WireError:

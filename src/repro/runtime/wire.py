@@ -1,42 +1,36 @@
 """Wire protocol: length-prefixed frames carrying ``Message``.
 
 Every byte that crosses a connection in the live runtime — in-process
-socketpair streams and real TCP alike — is one *frame*:
+socketpair streams, real TCP between peers, and the scale-out control
+channel alike — is one *frame*:
 
     +--------+---------+----------+------------------+
     | magic  | version | flags    | body length (u32)|   8-byte header
     | 2 B    | 1 B     | 1 B      | big-endian       |
     +--------+---------+----------+------------------+
-    | body: one Message, encoded per version + flags |
+    | body: one Message, in the layout the flags name |
     +------------------------------------------------+
 
-Two codecs share the framing, selected by the header's version byte:
+There is one codec.  The version byte is always ``WIRE_VERSION`` (2);
+any other value is a :class:`FrameError`.  The body is a hand-rolled
+struct layout.  The *generic* body (``flags == 0``) is one byte of
+message kind, six signed 64-bit integer fields (``src dst version hops
+origin request_id``), a u16-length-prefixed UTF-8 file name, then the
+payload as a tagged tree (see ``_enc_value``).  The encodable payload
+set is JSON's scalars plus ``bytes``, lists (tuples become lists, the
+only lossy conversion) and dicts with string keys; floats must be
+finite.
 
-* **v1 (JSON)** — the body is the UTF-8 JSON encoding of
-  :class:`repro.net.message.Message`.  Payloads must be JSON values;
-  ``bytes`` are carried via a tagged ``{"__b64__": ...}`` wrapper and
-  tuples become lists (the only lossy conversion — documented, and
-  irrelevant to the runtime, which uses dict payloads).  v1 frames
-  always carry ``flags == 0``.
-* **v2 (binary)** — a hand-rolled struct layout.  The *generic* body
-  (``flags == 0``) is one byte of message kind, six signed 64-bit
-  integer fields (``src dst version hops origin request_id``), a
-  u16-length-prefixed UTF-8 file name, then the payload as a tagged
-  tree (see ``_enc_value``).  The encodable value set is identical to
-  v1's (JSON scalars + bytes, string dict keys, finite floats), so the
-  two codecs round-trip the same messages — property-tested in
-  ``tests/test_runtime.py``.
-
-**Fixed-layout fast lane (within v2).**  The ~90% message kinds on the
-runtime's hot path — GET requests, ACK confirmations, and GET_REPLY
-responses — have rigid payload shapes, so v2 senders may emit them as
+**Fixed layouts.**  The ~90% message kinds on the runtime's hot path —
+GET requests, ACK confirmations, GET_REPLY responses and OVERLOAD shed
+replies — have rigid payload shapes, so the encoder emits them as
 struct-packed fixed layouts that bypass the tagged-value encoder
 entirely.  The header's flags byte names the layout:
 
     ========  =================  =====================================
     flags     layout             applies when
     ========  =================  =====================================
-    0         generic            any message (the only v1 value)
+    0         generic            any message
     1         FIXED_GET          kind GET, payload is None or a short
                                  list of small ints (the §4 remaining-
                                  subtree ids; ≤255 entries, each 0–255)
@@ -56,13 +50,9 @@ entirely.  The header's flags byte names the layout:
     the trailer keeps the entire §4 routing path on the fixed lane.
 
 A fixed-layout frame decodes to the *exact same* ``Message`` the
-generic v2 body would produce (property-tested).  Negotiation matrix:
-a sender uses a fixed layout only inside an already-negotiated v2
-connection, so JSON-v1 peers never see one (they never see any v2
-frame); a v2 receiver always understands all five flag values, so
-v2-generic and v2-fixed endpoints interoperate frame by frame —
-ineligible messages simply fall back to ``flags == 0`` on the same
-connection.
+generic body would produce (property-tested).  A message of an
+eligible kind whose payload does not fit its layout is sent with the
+generic body instead; every receiver understands all five flag values.
 
 **Zero-copy fast lane.**  :class:`FrameEncoder` owns a reusable
 ``bytearray``: frames are appended in place (header packed via
@@ -77,31 +67,20 @@ frames as it holds, decoded straight off a ``memoryview`` (leaf
 strings/bytes are copied out, so decoded messages never alias the
 buffer).
 
-Negotiation is per connection: each side learns the peer's codec from
-the version byte of the frames it receives (:func:`read_frame` /
-:class:`FrameReader`) and a sender never exceeds the receiver's
-advertised maximum — the cluster computes ``min(sender, receiver)``
-per link, so a v1 node in a v2 cluster keeps working and never sees a
-v2 frame.
-
-Decoding is hardened: bad magic, unknown wire version, unknown flags,
-oversized or truncated frames, malformed bodies, unknown message kinds
-or payload tags, and wrongly-typed fields each raise a precise error
-rather than crashing a server task.  :class:`FrameError` covers the
-framing layer (the connection is unusable afterwards —
-resynchronisation is not attempted); :class:`WireDecodeError` covers a
-syntactically valid frame with a bad body (the connection may
-continue).
+Decoding is hardened: bad magic, a wire version other than 2, unknown
+flags, oversized or truncated frames, malformed bodies, unknown
+message kinds or payload tags each raise a precise error rather than
+crashing a server task.  :class:`FrameError` covers the framing layer
+(the connection is unusable afterwards — resynchronisation is not
+attempted); :class:`WireDecodeError` covers a syntactically valid
+frame with a bad body (the connection may continue).
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
 import math
 import struct
-from asyncio import IncompleteReadError, StreamReader, StreamWriter
+from asyncio import StreamReader, StreamWriter
 from time import perf_counter
 from typing import Any
 
@@ -109,8 +88,6 @@ from ..net.message import Message, MessageKind, fast_message
 
 __all__ = [
     "WIRE_VERSION",
-    "WIRE_VERSION_BINARY",
-    "MAX_WIRE_VERSION",
     "MAX_FRAME",
     "FRAME_GENERIC",
     "FRAME_GET",
@@ -122,35 +99,27 @@ __all__ = [
     "WireDecodeError",
     "FrameEncoder",
     "FrameReader",
-    "message_to_dict",
-    "message_from_dict",
     "encode_message",
     "decode_message",
-    "read_frame",
-    "read_message",
-    "write_message",
 ]
 
 MAGIC = b"LL"
-WIRE_VERSION = 1
-"""The JSON codec — the compatibility fallback every node understands."""
-WIRE_VERSION_BINARY = 2
-"""The struct-packed binary codec — the fast path."""
-MAX_WIRE_VERSION = WIRE_VERSION_BINARY
+WIRE_VERSION = 2
+"""The one legal value of the header's version byte."""
 HEADER = struct.Struct(">2sBBI")
 MAX_FRAME = 1 << 20
 """Default ceiling on body size (1 MiB): a decode-bomb guard."""
 
 FRAME_GENERIC = 0
-"""Flags value: the generic body for the frame's wire version."""
+"""Flags value: the generic tagged body."""
 FRAME_GET = 1
-"""Flags value: fixed-layout GET (payload None), v2 only."""
+"""Flags value: fixed-layout GET."""
 FRAME_ACK = 2
-"""Flags value: fixed-layout ACK (payload None), v2 only."""
+"""Flags value: fixed-layout ACK (payload None)."""
 FRAME_GET_REPLY = 3
-"""Flags value: fixed-layout GET_REPLY, v2 only."""
+"""Flags value: fixed-layout GET_REPLY."""
 FRAME_OVERLOAD = 4
-"""Flags value: fixed-layout OVERLOAD shed reply, v2 only."""
+"""Flags value: fixed-layout OVERLOAD shed reply."""
 
 _HEADER_PAD = bytes(HEADER.size)
 _READ_CHUNK = 1 << 16
@@ -168,93 +137,7 @@ class WireDecodeError(WireError):
     """A well-framed body that does not decode to a valid Message."""
 
 
-# -- v1 payload codec (JSON) ---------------------------------------------
-
-def _encode_payload(value: Any) -> Any:
-    """JSON-safe transform: bytes → tagged base64, tuples → lists."""
-    if isinstance(value, bytes):
-        return {"__b64__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, (list, tuple)):
-        return [_encode_payload(v) for v in value]
-    if isinstance(value, dict):
-        out = {}
-        for key, val in value.items():
-            if not isinstance(key, str):
-                raise WireDecodeError(
-                    f"payload object keys must be strings, got {key!r}"
-                )
-            out[key] = _encode_payload(val)
-        return out
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    raise WireDecodeError(f"payload of type {type(value).__name__} is not wire-safe")
-
-
-def _decode_payload(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {"__b64__"}:
-            tag = value["__b64__"]
-            if not isinstance(tag, str):
-                raise WireDecodeError("__b64__ tag must be a string")
-            try:
-                return base64.b64decode(tag.encode("ascii"), validate=True)
-            except (binascii.Error, ValueError) as exc:
-                raise WireDecodeError(f"bad base64 payload: {exc}") from None
-        return {k: _decode_payload(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_payload(v) for v in value]
-    return value
-
-
-# -- message <-> dict ----------------------------------------------------
-
-_INT_FIELDS = ("src", "dst", "version", "hops", "origin", "request_id")
-
-
-def message_to_dict(msg: Message) -> dict[str, Any]:
-    """The JSON-object form of one message."""
-    return {
-        "kind": msg.kind.value,
-        "src": msg.src,
-        "dst": msg.dst,
-        "file": msg.file,
-        "payload": _encode_payload(msg.payload),
-        "version": msg.version,
-        "hops": msg.hops,
-        "origin": msg.origin,
-        "request_id": msg.request_id,
-    }
-
-
-def message_from_dict(data: Any) -> Message:
-    """Validate and rebuild a message from its JSON-object form."""
-    if not isinstance(data, dict):
-        raise WireDecodeError(
-            f"frame body must be a JSON object, got {type(data).__name__}"
-        )
-    try:
-        kind = MessageKind(data["kind"])
-    except KeyError:
-        raise WireDecodeError("frame body missing 'kind'") from None
-    except ValueError:
-        raise WireDecodeError(f"unknown message kind {data['kind']!r}") from None
-    fields: dict[str, Any] = {"kind": kind}
-    for name in _INT_FIELDS:
-        value = data.get(name, 0 if name not in ("origin",) else -1)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise WireDecodeError(f"field {name!r} must be an integer, got {value!r}")
-        fields[name] = value
-    file = data.get("file", "")
-    if not isinstance(file, str):
-        raise WireDecodeError(f"field 'file' must be a string, got {file!r}")
-    fields["file"] = file
-    fields["payload"] = _decode_payload(data.get("payload"))
-    if "src" not in data or "dst" not in data:
-        raise WireDecodeError("frame body missing 'src'/'dst'")
-    return Message(**fields)
-
-
-# -- v2 body codec (binary) ----------------------------------------------
+# -- body codec ----------------------------------------------------------
 #
 # Generic body: kind code (u8), the six int fields as signed 64-bit, and
 # the file-name length (u16), followed by the UTF-8 name bytes and the
@@ -289,9 +172,8 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 def _enc_value(buf: bytearray, value: Any) -> None:
     """Append one tagged payload value to ``buf``.
 
-    Accepts exactly the v1-encodable set so the codecs stay equivalent:
-    None/bool/int/finite float/str/bytes, lists (tuples become lists),
-    and dicts with string keys.
+    Accepts None/bool/int/finite float/str/bytes, lists (tuples become
+    lists), and dicts with string keys.
     """
     if value is None:
         buf.append(_T_NONE)
@@ -310,8 +192,6 @@ def _enc_value(buf: bytearray, value: Any) -> None:
             buf += raw
     elif isinstance(value, float):
         if not math.isfinite(value):
-            # json.dumps(allow_nan=False) rejects these too: keep the
-            # encodable sets identical across codecs.
             raise WireDecodeError("non-finite float is not wire-safe")
         buf.append(_T_FLOAT)
         buf += _S_D.pack(value)
@@ -423,8 +303,8 @@ def _dec_value(body, pos: int) -> tuple[Any, int]:
     raise WireDecodeError(f"unknown binary payload tag {tag}")
 
 
-def _encode_body_v2(buf: bytearray, msg: Message) -> None:
-    """Append the generic v2 body of ``msg`` to ``buf``."""
+def _encode_generic(buf: bytearray, msg: Message) -> None:
+    """Append the generic body of ``msg`` to ``buf``."""
     code = _CODE_BY_KIND[msg.kind]
     try:
         name = msg.file.encode("utf-8")
@@ -481,7 +361,7 @@ def _try_encode_fixed(buf: bytearray, msg: Message) -> int:
         except KeyError:
             return FRAME_GENERIC
         # type-is checks: exact int excludes bool, and an int subclass
-        # falling back to the generic codec is always still correct.
+        # falling back to the generic body is always still correct.
         if type(server) is not int or not _I64_MIN <= server <= _I64_MAX:
             return FRAME_GENERIC
         if data is None:
@@ -574,7 +454,7 @@ def _dec_file_name(body, pos: int, name_len: int) -> tuple[str, int]:
     return file, pos + name_len
 
 
-def _decode_body_v2(body) -> Message:
+def _decode_generic(body) -> Message:
     if len(body) < _S_FIXED.size:
         raise WireDecodeError(
             f"binary body of {len(body)} bytes is shorter than the fixed part"
@@ -597,7 +477,7 @@ def _decode_body_v2(body) -> Message:
 
 
 def _decode_body_fixed(flags: int, body) -> Message:
-    """Decode one fixed-layout v2 body (flags 1..4)."""
+    """Decode one fixed-layout body (flags 1..4)."""
     if flags == FRAME_OVERLOAD:
         if len(body) < _S_FL_OVERLOAD.size:
             raise WireDecodeError(
@@ -704,46 +584,33 @@ class FrameEncoder:
     consumers must materialise (join/write) before the encoder is
     reused.  ``flush_to`` upholds the rule by construction; anything
     else must copy.
-
-    ``fixed=False`` pins the encoder to generic bodies (the v2-generic
-    interop profile / the pre-fast-lane wire format).
     """
 
-    __slots__ = ("fixed", "_buf", "_bounds")
+    __slots__ = ("_buf", "_bounds")
 
-    def __init__(self, fixed: bool = True) -> None:
-        self.fixed = fixed
+    def __init__(self) -> None:
         self._buf = bytearray()
         self._bounds: list[int] = [0]
 
     def add(self, msg: Message, version: int = WIRE_VERSION) -> int:
         """Append one frame; returns its size in bytes.
 
-        On a rejected message the buffer is rolled back to the previous
-        frame boundary, so a shared encoder survives encode errors.
+        ``version`` must be ``WIRE_VERSION``; it stays a parameter so
+        wrappers that forward it keep working.  The body takes the
+        message's fixed layout when it has one, the generic body
+        otherwise.  On a rejected message the buffer is rolled back to
+        the previous frame boundary, so a shared encoder survives
+        encode errors.
         """
+        if version != WIRE_VERSION:
+            raise FrameError(f"unsupported wire version {version}")
         buf = self._buf
         start = len(buf)
         buf += _HEADER_PAD
-        flags = FRAME_GENERIC
         try:
-            if version == WIRE_VERSION_BINARY:
-                if self.fixed:
-                    flags = _try_encode_fixed(buf, msg)
-                if flags == FRAME_GENERIC:
-                    _encode_body_v2(buf, msg)
-            elif version == WIRE_VERSION:
-                try:
-                    buf += json.dumps(
-                        message_to_dict(msg), separators=(",", ":"),
-                        allow_nan=False,
-                    ).encode("utf-8")
-                except (TypeError, ValueError) as exc:
-                    raise WireDecodeError(
-                        f"message is not wire-encodable: {exc}"
-                    ) from None
-            else:
-                raise FrameError(f"unsupported wire version {version}")
+            flags = _try_encode_fixed(buf, msg)
+            if flags == FRAME_GENERIC:
+                _encode_generic(buf, msg)
             length = len(buf) - start - HEADER.size
             if length > MAX_FRAME:
                 raise FrameError(
@@ -752,7 +619,7 @@ class FrameEncoder:
         except WireError:
             del buf[start:]
             raise
-        HEADER.pack_into(buf, start, MAGIC, version, flags, length)
+        HEADER.pack_into(buf, start, MAGIC, WIRE_VERSION, flags, length)
         self._bounds.append(len(buf))
         return len(buf) - start
 
@@ -810,63 +677,46 @@ class FrameEncoder:
 
 # -- frame decoder helpers -----------------------------------------------
 
-def _check_header(
-    header, offset: int, max_frame: int, max_version: int = MAX_WIRE_VERSION
-) -> tuple[int, int, int]:
-    """Validate an 8-byte header; return ``(version, flags, length)``."""
+def _check_header(header, offset: int, max_frame: int) -> tuple[int, int]:
+    """Validate an 8-byte header; return ``(flags, length)``."""
     magic, version, flags, length = HEADER.unpack_from(header, offset)
     if magic != MAGIC:
         raise FrameError(f"bad magic {bytes(magic)!r} (expected {MAGIC!r})")
-    if not WIRE_VERSION <= version <= max_version:
+    if version != WIRE_VERSION:
         raise FrameError(f"unsupported wire version {version}")
     if not FRAME_GENERIC <= flags <= FRAME_OVERLOAD:
         raise FrameError(f"unknown frame flags {flags}")
     if length > max_frame:
         raise FrameError(f"frame body of {length} bytes exceeds {max_frame}")
-    return version, flags, length
+    return flags, length
 
 
-def _decode_body(version: int, flags: int, body) -> Message:
-    if version == WIRE_VERSION_BINARY:
-        if flags != FRAME_GENERIC:
-            return _decode_body_fixed(flags, body)
-        return _decode_body_v2(body)
+def _decode_body(flags: int, body) -> Message:
     if flags != FRAME_GENERIC:
-        raise WireDecodeError(
-            f"v1 frames carry no fixed layouts (flags {flags})"
-        )
-    try:
-        data = json.loads(bytes(body).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireDecodeError(f"malformed frame body: {exc}") from None
-    return message_from_dict(data)
+        return _decode_body_fixed(flags, body)
+    return _decode_generic(body)
 
 
-def encode_message(msg: Message, version: int = WIRE_VERSION,
-                   fixed: bool = True) -> bytes:
-    """One complete frame (header + body) for ``msg`` at ``version``.
+def encode_message(msg: Message) -> bytes:
+    """One complete frame (header + body) for ``msg``.
 
     The convenience byte-string form of :class:`FrameEncoder` — tests
     and one-shot callers; hot paths hold an encoder and flush vectored.
     """
-    encoder = FrameEncoder(fixed=fixed)
-    encoder.add(msg, version)
+    encoder = FrameEncoder()
+    encoder.add(msg)
     return encoder.take_bytes()
 
 
-def decode_message(
-    frame: bytes,
-    max_frame: int = MAX_FRAME,
-    max_version: int = MAX_WIRE_VERSION,
-) -> Message:
+def decode_message(frame: bytes, max_frame: int = MAX_FRAME) -> Message:
     """Decode one complete frame from a byte string."""
     if len(frame) < HEADER.size:
         raise FrameError(f"truncated header: {len(frame)} bytes")
-    version, flags, length = _check_header(frame, 0, max_frame, max_version)
+    flags, length = _check_header(frame, 0, max_frame)
     body = memoryview(frame)[HEADER.size:]
     if len(body) != length:
         raise FrameError(f"body length {len(body)} does not match header {length}")
-    return _decode_body(version, flags, body)
+    return _decode_body(flags, body)
 
 
 # -- stream I/O ----------------------------------------------------------
@@ -874,63 +724,49 @@ def decode_message(
 class FrameReader:
     """Buffered batch decoder: one ``read()``, as many frames as it holds.
 
-    The await-per-frame cost of :func:`read_frame` (two ``readexactly``
-    round trips through the stream machinery) dominated the decode path
-    under load.  A ``FrameReader`` instead pulls whatever the transport
-    has ready into its own buffer and slices out every complete frame
-    via ``memoryview`` — zero awaits for all but the first frame of a
-    burst.  Decoded messages never alias the buffer (leaf values are
-    copied out), so recycling it between batches is safe.
+    A ``FrameReader`` pulls whatever the transport has ready into its
+    own buffer and slices out every complete frame via ``memoryview`` —
+    zero awaits for all but the first frame of a burst.  Decoded
+    messages never alias the buffer (leaf values are copied out), so
+    recycling it between batches is safe.
 
-    :meth:`read_batch` returns ``(messages, decode_errors)`` where each
-    message pairs with its frame's wire version and ``decode_errors``
-    counts well-framed bodies that failed to decode (framing stays
-    aligned, the connection continues — same policy as
-    :func:`read_frame`).  Raises :class:`EOFError` on a clean
-    end-of-stream at a frame boundary and :class:`FrameError` on broken
-    framing, after which the reader is unusable.
+    :meth:`read_batch` returns ``(messages, decode_errors)`` where
+    ``decode_errors`` counts well-framed bodies that failed to decode
+    (framing stays aligned, so the caller may keep the connection).
+    Raises :class:`EOFError` on a clean end-of-stream at a frame
+    boundary and :class:`FrameError` on broken framing or a stream that
+    ends mid-frame, after which the reader is unusable.
     """
 
-    __slots__ = ("reader", "max_frame", "max_version", "decode_seconds", "_buf")
+    __slots__ = ("reader", "max_frame", "decode_seconds", "_buf")
 
-    def __init__(
-        self,
-        reader: StreamReader,
-        max_frame: int = MAX_FRAME,
-        max_version: int = MAX_WIRE_VERSION,
-    ) -> None:
+    def __init__(self, reader: StreamReader, max_frame: int = MAX_FRAME) -> None:
         self.reader = reader
         self.max_frame = max_frame
-        self.max_version = max_version
         self.decode_seconds = 0.0
         """Cumulative wall time spent slicing + decoding frames (the
         bench's ``decode`` stage; read the delta between batches)."""
         self._buf = bytearray()
 
-    def _drain_buffer(self) -> tuple[list[tuple[Message, int]], int]:
+    def _drain_buffer(self) -> tuple[list[Message], int]:
         """Slice every complete frame out of the buffer and decode it."""
         buf = self._buf
         header_size = HEADER.size
         if len(buf) < header_size:
             return [], 0
         t0 = perf_counter()
-        out: list[tuple[Message, int]] = []
+        out: list[Message] = []
         errors = 0
         pos = 0
         mv = memoryview(buf)
         try:
             while len(buf) - pos >= header_size:
-                version, flags, length = _check_header(
-                    mv, pos, self.max_frame, self.max_version
-                )
+                flags, length = _check_header(mv, pos, self.max_frame)
                 end = pos + header_size + length
                 if end > len(buf):
                     break
                 try:
-                    out.append(
-                        (_decode_body(version, flags, mv[pos + header_size:end]),
-                         version)
-                    )
+                    out.append(_decode_body(flags, mv[pos + header_size:end]))
                 except WireDecodeError:
                     errors += 1
                 pos = end
@@ -941,7 +777,7 @@ class FrameReader:
         self.decode_seconds += perf_counter() - t0
         return out, errors
 
-    async def read_batch(self) -> tuple[list[tuple[Message, int]], int]:
+    async def read_batch(self) -> tuple[list[Message], int]:
         """Block until at least one frame resolves; drain all available."""
         while True:
             msgs, errors = self._drain_buffer()
@@ -955,58 +791,3 @@ class FrameReader:
                     )
                 raise EOFError("connection closed")
             self._buf += chunk
-
-
-async def read_frame(
-    reader: StreamReader,
-    max_frame: int = MAX_FRAME,
-    max_version: int = MAX_WIRE_VERSION,
-) -> tuple[Message, int]:
-    """Read one message off a stream; return it with its wire version.
-
-    The version is how receivers learn a peer's codec: replies on the
-    same connection should not exceed it.  ``max_version`` is this
-    side's own ceiling — a v1-only node rejects v2 frames at the
-    framing layer.
-
-    Raises :class:`EOFError` on a clean end-of-stream at a frame
-    boundary, :class:`FrameError` on mid-frame truncation or a broken
-    header, :class:`WireDecodeError` on a bad body.
-    """
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except IncompleteReadError as exc:
-        if not exc.partial:
-            raise EOFError("connection closed") from None
-        raise FrameError(
-            f"connection closed mid-header ({len(exc.partial)} bytes)"
-        ) from None
-    version, flags, length = _check_header(header, 0, max_frame, max_version)
-    try:
-        body = await reader.readexactly(length)
-    except IncompleteReadError as exc:
-        raise FrameError(
-            f"connection closed mid-body ({len(exc.partial)}/{length} bytes)"
-        ) from None
-    return _decode_body(version, flags, body), version
-
-
-async def read_message(
-    reader: StreamReader,
-    max_frame: int = MAX_FRAME,
-    max_version: int = MAX_WIRE_VERSION,
-) -> Message:
-    """Read exactly one message off a stream (see :func:`read_frame`)."""
-    msg, _version = await read_frame(reader, max_frame, max_version)
-    return msg
-
-
-async def write_message(
-    writer: StreamWriter, msg: Message, version: int = WIRE_VERSION,
-    fixed: bool = True,
-) -> None:
-    """Write one message vectored and flush it through the transport."""
-    encoder = FrameEncoder(fixed=fixed)
-    encoder.add(msg, version)
-    encoder.flush_to(writer)
-    await writer.drain()

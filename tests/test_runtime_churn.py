@@ -304,6 +304,42 @@ def test_min_live_floor_skips_the_kill():
 
 
 @pytest.mark.runtime
+def test_kill_skips_a_pid_reserved_by_a_queued_crash():
+    """Regression: an announced crash resolves its victim at fire time
+    and queues it on the serial worker.  A kill that fires before the
+    worker runs must not take the same still-live PID, or the worker's
+    crash raises ``MembershipError`` out of ``finalize()``."""
+
+    async def run():
+        config = RuntimeConfig(m=3, b=0, seed=1)
+        cluster = await LiveCluster.start(config)
+        try:
+            # Same instant: "crash" sorts before "kill", and queueing the
+            # crash does not yield, so the kill resolves its victim
+            # before the worker has started the crash.
+            injector = ChurnInjector(
+                cluster,
+                [ChurnEvent(0.0, "kill", 4), ChurnEvent(0.0, "crash", 4)],
+                min_live=1,
+            )
+            injector.start()
+            applied = await injector.finalize()
+            assert applied == [
+                {"at": 0.0, "action": "kill", "pid": None},
+                {"at": None, "action": "crash", "pid": 4},
+            ]
+            assert 4 not in cluster.nodes
+            assert not cluster._silent_deaths
+            await cluster.quiesce()
+            system = replay_oplog(cluster.oplog, config, cluster.initial_live)
+            assert diff_states(cluster, system).ok
+        finally:
+            await cluster.shutdown()
+
+    asyncio.run(run())
+
+
+@pytest.mark.runtime
 def test_join_on_a_silent_corpse_runs_the_autopsy_first():
     """No resurrection before the coroner files: rejoining a silently
     dead PID must first announce the crash (recovery + the closing

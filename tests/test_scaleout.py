@@ -3,8 +3,9 @@
 worker processes, the kill -9 crash supervisor, and the sharded load
 driver with its exactly-merging measurement ledgers.
 
-The deterministic pieces — wire codecs for the control plane, batch
-frames, address resolution, supervisor validation, the merge algebra
+The deterministic pieces — the control plane's wire forms and link,
+batch frames, address resolution, supervisor validation and teardown,
+the merge algebra
 of ``LoadReport``/``LatencyHistogram``, and the worker holder-hint
 cache — run in tier-1.  Everything that forks real worker OS processes
 and drives them over loopback TCP carries the ``runtime`` marker and
@@ -18,17 +19,23 @@ event loop, so each test calls ``launch()`` first and only then enters
 
 import asyncio
 import json
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, MembershipError
+from repro.net.message import Message, MessageKind, fast_message
 from repro.runtime import (
     LoadGenerator,
     PeerUnreachableError,
     RuntimeClient,
     RuntimeConfig,
+    WireDecodeError,
+    encode_message,
     verify_snapshot,
 )
 from repro.runtime.addressing import dial_peer
@@ -38,11 +45,14 @@ from repro.runtime.scaleout import (
     ScaleoutEndpoint,
     ScaleoutSupervisor,
     ShardedLoadDriver,
+    ControlLink,
     config_from_wire,
     config_to_wire,
     decode_batch,
     encode_batch,
 )
+from repro.runtime.scaleout.control import message_from_wire, message_to_wire
+from repro.runtime.wire import HEADER, WIRE_VERSION
 from repro.runtime.scaleout.worker import WorkerRuntime, _BoundedCache, _book_from_wire
 
 # ---------------------------------------------------------------------------
@@ -53,8 +63,8 @@ from repro.runtime.scaleout.worker import WorkerRuntime, _BoundedCache, _book_fr
 class TestControlCodecs:
     def test_config_round_trips_through_json_profile(self):
         config = RuntimeConfig(
-            m=5, b=2, seed=11, tcp=True, capacity=12.5,
-            wire_version=2, v1_pids=(1, 3), fixed_frames=True,
+            m=5, b=2, seed=11, tcp=True, capacity=12.5, batch_max=4,
+            inbox_limit=3, victim_policy="random",
         )
         wired = config_to_wire(config)
         assert wired == json.loads(json.dumps(wired))
@@ -67,6 +77,22 @@ class TestControlCodecs:
         back = config_from_wire(config_to_wire(config))
         assert back.slo_budget == float("inf")
         assert back.idle_timeout == float("inf")
+
+    def test_unknown_config_keys_are_ignored(self):
+        wired = config_to_wire(RuntimeConfig(m=3, b=1))
+        wired["retired_knob"] = 7
+        assert config_from_wire(wired) == RuntimeConfig(m=3, b=1)
+
+    def test_admin_frame_rides_as_its_frame_bytes(self):
+        msg = Message(kind=MessageKind.REGISTER_DEAD, src=-2, dst=5,
+                      file="f", payload={"pid": 3, "blob": b"\x00\xff"})
+        wired = message_to_wire(msg)
+        assert wired == encode_message(msg)
+        assert message_from_wire(wired) == msg
+
+    def test_delivered_frame_must_be_bytes(self):
+        with pytest.raises(WireDecodeError, match="bytes"):
+            message_from_wire({"kind": "get", "src": 0, "dst": 1})
 
     def test_book_from_wire_restores_int_pids_and_address_tuples(self):
         book = _book_from_wire({"0": ["127.0.0.1", 4000], "7": ["::1", 4001]})
@@ -93,6 +119,83 @@ class TestBatchFrames:
         assert decode_batch({"op": "batch"}) == []
         mixed = {"op": "batch", "ops": [{"op": "a"}, 7, None, {"op": "b"}]}
         assert decode_batch(mixed) == [{"op": "a"}, {"op": "b"}]
+
+
+class _NullWriter:
+    """The write half a read-side ControlLink test never uses."""
+
+    def is_closing(self) -> bool:
+        return False
+
+    def writelines(self, data) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class TestControlLink:
+    def _control_frame(self, body: dict) -> bytes:
+        return encode_message(
+            fast_message(MessageKind.CONTROL, -2, -2, "", body)
+        )
+
+    def _run_link(self, blob: bytes) -> list[str]:
+        """Feed ``blob`` then EOF to a link; the ops it dispatched."""
+        seen: list[str] = []
+
+        async def handler(op: str, body: dict) -> None:
+            seen.append(op)
+
+        async def run():
+            reader = asyncio.StreamReader()
+            link = ControlLink(reader, _NullWriter(), handler, label="t")
+            link.start()
+            reader.feed_data(blob)
+            reader.feed_eof()
+            await asyncio.wait_for(link.closed.wait(), 5.0)
+            await asyncio.sleep(0.01)  # let queued dispatches run
+            await link.close()
+
+        asyncio.run(run())
+        return seen
+
+    def test_casts_and_batches_dispatch_in_order(self):
+        blob = self._control_frame({"op": "a"}) + self._control_frame(
+            encode_batch([{"op": "b"}, {"op": "c"}])
+        )
+        assert self._run_link(blob) == ["a", "b", "c"]
+
+    def test_undecodable_body_ends_the_link(self):
+        good = self._control_frame({"op": "a"})
+        bad = bytearray(good)
+        bad[HEADER.size] = 250  # unknown message kind code
+        later = self._control_frame({"op": "late"})
+        # The link closes on the bad body (not on EOF, which never
+        # comes here) and dispatches nothing after it.
+        seen: list[str] = []
+
+        async def handler(op: str, body: dict) -> None:
+            seen.append(op)
+
+        async def run():
+            reader = asyncio.StreamReader()
+            link = ControlLink(reader, _NullWriter(), handler, label="t")
+            link.start()
+            reader.feed_data(good)
+            await asyncio.sleep(0.01)
+            reader.feed_data(bytes(bad) + later)
+            await asyncio.wait_for(link.closed.wait(), 5.0)
+            await asyncio.sleep(0.01)
+            await link.close()
+
+        asyncio.run(run())
+        assert seen == ["a"]
+
+    def test_version_1_frame_ends_the_link(self):
+        frame = self._control_frame({"op": "a"})
+        assert frame[2] == WIRE_VERSION
+        assert self._run_link(frame[:2] + bytes([1]) + frame[3:]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +401,30 @@ class TestSupervisorValidation:
         supervisor = ScaleoutSupervisor(RuntimeConfig(m=3, b=1), n_nodes=4)
         with pytest.raises(MembershipError):
             asyncio.run(supervisor.kill(2))
+
+    def test_shutdown_reaps_a_child_that_ignores_sigterm(self):
+        """A child that never said hello and ignores SIGTERM is
+        SIGKILLed at the deadline; shutdown never blocks in waitpid."""
+        supervisor = ScaleoutSupervisor(RuntimeConfig(m=3, b=1), n_nodes=4)
+        ready_r, ready_w = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            try:
+                signal.signal(signal.SIGTERM, signal.SIG_IGN)
+                os.write(ready_w, b"x")
+                time.sleep(10.0)  # bounded, so a hung reap shows as slow
+            finally:
+                os._exit(0)
+        os.close(ready_w)
+        assert os.read(ready_r, 1) == b"x"
+        os.close(ready_r)
+        supervisor._children.append(child)
+        t0 = time.monotonic()
+        asyncio.run(supervisor.shutdown(term_timeout=0.2))
+        assert time.monotonic() - t0 < 5.0
+        assert supervisor.alive() == {child: False}
+        with pytest.raises(ChildProcessError):
+            os.waitpid(child, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

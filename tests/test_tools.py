@@ -7,17 +7,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_api_doc_generator_runs(tmp_path, monkeypatch):
+def test_api_doc_generator_runs(tmp_path):
+    out = tmp_path / "api_overview.md"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "gen_api_docs.py")],
+        [sys.executable, str(ROOT / "tools" / "gen_api_docs.py"), str(out)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = ROOT / "docs" / "api_overview.md"
     assert out.exists()
     text = out.read_text()
+    # Defaults render without memory addresses, so the output is a
+    # function of the source alone.
+    assert "at 0x" not in text
     # Spot-check a few load-bearing symbols are indexed.
     for symbol in (
         "choose_replica_target",

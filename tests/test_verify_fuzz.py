@@ -105,11 +105,14 @@ class TestLiveSegmentOp:
         assert report.ok, report.render()
 
     def test_mixed_codec_segment_applies(self):
+        # Repro files saved before the runtime had a single codec carry
+        # params the segment no longer reads ("mixed" and a coalescing
+        # watermark); unknown params are ignored, so they still replay.
         harness = ScenarioHarness(Scenario(m=4, b=1, seed=1))
         event = ScenarioEvent(
             "live_segment",
             {"m": 3, "b": 0, "files": 2, "ops": 6, "seed": 5,
-             "mixed": True, "coalesce_bytes": 4096},
+             "mixed": True, "retired_knob": 4096},
         )
         assert harness.apply(event)
         assert harness.live_reports[-1].ok, harness.live_reports[-1].render()

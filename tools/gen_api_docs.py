@@ -5,14 +5,20 @@ Walks every module under ``repro``, collects ``__all__`` (or public
 top-level names), and emits a markdown index with each symbol's
 signature and first docstring line.  Run from the repository root:
 
-    python tools/gen_api_docs.py
+    PYTHONPATH=src python tools/gen_api_docs.py [OUTPUT]
+
+``OUTPUT`` defaults to ``docs/api_overview.md``.  Defaults that render
+with a memory address (``<function f at 0x...>``) lose the address, so
+the output depends only on the source.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -21,6 +27,8 @@ import repro
 OUT = Path(__file__).resolve().parent.parent / "docs" / "api_overview.md"
 
 SKIP_MODULES = {"repro.__main__"}
+
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
 def iter_modules():
@@ -49,12 +57,16 @@ def describe(obj) -> str:
 
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        return _ADDRESS.sub("", str(inspect.signature(obj)))
     except (TypeError, ValueError):
         return ""
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write the API overview.")
+    parser.add_argument("output", nargs="?", type=Path, default=OUT,
+                        help=f"markdown file to write (default: {OUT})")
+    out = parser.parse_args(argv).output
     lines = [
         "# API overview",
         "",
@@ -91,8 +103,8 @@ def main() -> int:
             summary = describe(obj)
             lines.append(f"- **`{symbol}{sig}`** ({kind}) — {summary}")
         lines.append("")
-    OUT.write_text("\n".join(lines) + "\n")
-    print(f"wrote {OUT} ({len(lines)} lines)")
+    out.write_text("\n".join(lines) + "\n")
+    print(f"wrote {out} ({len(lines)} lines)")
     return 0
 
 
